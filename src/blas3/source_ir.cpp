@@ -304,6 +304,30 @@ const char* output_array(const Variant& v) {
   return v.family == Family::kTrsm ? "B" : "C";
 }
 
+Status check_output(const Variant& v, const Matrix* c) {
+  if (v.family != Family::kTrsm && c == nullptr) {
+    return invalid_argument(v.name() + " needs an output matrix c");
+  }
+  return Status::ok();
+}
+
+StatusOr<ir::Env> call_size_env(const Variant& v, const Matrix& a,
+                                const Matrix& b, const Matrix* c) {
+  OA_RETURN_IF_ERROR(check_output(v, c));
+  if (v.family == Family::kGemm) {
+    // B's rows are the reduction length for trans_b=N, not M.
+    return ir::Env{{"M", v.trans_a == Trans::kN ? a.rows() : a.cols()},
+                   {"N", v.trans_b == Trans::kN ? b.cols() : b.rows()},
+                   {"K", v.trans_a == Trans::kN ? a.cols() : a.rows()}};
+  }
+  if (v.family == Family::kSyrk) {
+    return ir::Env{{"M", c->rows()},
+                   {"N", b.cols()},
+                   {"K", v.trans == Trans::kN ? a.cols() : a.rows()}};
+  }
+  return ir::Env{{"M", b.rows()}, {"N", b.cols()}};
+}
+
 const char* structured_array(const Variant&) { return "A"; }
 
 }  // namespace oa::blas3

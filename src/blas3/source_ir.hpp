@@ -9,8 +9,10 @@
 // bound and subscript affine.
 #pragma once
 
+#include "blas3/matrix.hpp"
 #include "blas3/routine.hpp"
 #include "ir/kernel.hpp"
+#include "support/status.hpp"
 
 namespace oa::blas3 {
 
@@ -22,6 +24,18 @@ ir::Program make_source_program(const Variant& v);
 
 /// Which global array is the routine's output ("C", or "B" for TRSM).
 const char* output_array(const Variant& v);
+
+/// OK when a call hands in the matrix the routine writes: every routine
+/// but TRSM (which solves in place in B) needs a non-null `c`.
+Status check_output(const Variant& v, const Matrix* c);
+
+/// Size bindings (M, N, K) of one call, derived from its operand shapes
+/// and trans-aware for GEMM (A is MxK or KxM, B is KxN or NxK). Every
+/// executor binds sizes through this, so their results stay comparable
+/// bit-for-bit. Refuses what check_output refuses, so no executor
+/// dereferences a missing output.
+StatusOr<ir::Env> call_size_env(const Variant& v, const Matrix& a,
+                                const Matrix& b, const Matrix* c);
 
 /// The "structured" input matrix the adaptors act on (always "A").
 const char* structured_array(const Variant& v);

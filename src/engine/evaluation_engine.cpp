@@ -104,27 +104,8 @@ Status execute_program(const gpusim::Simulator& sim,
                        blas3::Matrix* c,
                        const std::map<std::string, bool>& bool_params) {
   gpusim::RunOptions opts;
-  const int64_t m = b.rows();
-  const int64_t n = b.cols();
-  if (variant.family == blas3::Family::kGemm) {
-    // GEMM operand shapes depend on the transpose flags: A is MxK (or
-    // KxM), B is KxN (or NxK). Derive M/N from the flagged axes — B's
-    // rows are the reduction length for trans_b=N, not M.
-    const int64_t k =
-        variant.trans_a == blas3::Trans::kN ? a.cols() : a.rows();
-    opts.int_params = {
-        {"M", variant.trans_a == blas3::Trans::kN ? a.rows() : a.cols()},
-        {"N", variant.trans_b == blas3::Trans::kN ? b.cols() : b.rows()},
-        {"K", k}};
-  } else if (variant.family == blas3::Family::kSyrk) {
-    const int64_t k =
-        variant.trans == blas3::Trans::kN ? a.cols() : a.rows();
-    opts.int_params = {{"M", c != nullptr ? c->rows() : m},
-                       {"N", n},
-                       {"K", k}};
-  } else {
-    opts.int_params = {{"M", m}, {"N", n}};
-  }
+  OA_ASSIGN_OR_RETURN(opts.int_params,
+                      blas3::call_size_env(variant, a, b, c));
   opts.bool_params = bool_params;
   const char* out_name = blas3::output_array(variant);
   blas3::Matrix& out =

@@ -231,9 +231,10 @@ Status verify_program(const gpusim::Simulator& sim,
                       const std::map<std::string, bool>& bool_params);
 
 /// Functional execution of any program (tuned or baseline) on real
-/// matrices, with problem sizes derived from the matrix shapes the way
-/// the routine family expects; the output is written back into `b`
-/// (TRSM) or `*c`. Shared by OaFramework::run and the serving runtime
+/// matrices, with problem sizes derived from the matrix shapes
+/// (blas3::call_size_env); the output is written back into `b` (TRSM)
+/// or `*c`, and a null `c` for a routine that writes C is
+/// invalid_argument. Shared by OaFramework::run and the serving runtime
 /// (runtime/LibraryRuntime).
 Status execute_program(const gpusim::Simulator& sim,
                        const ir::Program& program,

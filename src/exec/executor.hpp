@@ -3,15 +3,17 @@
 // JIT-emitted x86-64 (jit_x86.hpp) or by the portable tape executor —
 // two implementations of the same segment ABI
 //     void seg(double* const* arrays, const int64_t* slots)
-// selected at runtime. execute_program() mirrors
-// engine::execute_program but computes results natively instead of
-// through the lockstep interpreter.
+// selected at runtime. execute() is the one program runner: a single
+// call is a batch of one, sizes come from blas3::call_size_env and every
+// kernel passes gpusim::compile_launchable, so results compare
+// bit-for-bit with the interpreter (engine::execute_program).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,17 +78,66 @@ class ExecCache {
   ExecStats stats_;
 };
 
-/// Execute every block of `ek` against bound global buffers — the
-/// native analogue of Simulator::run_functional for one kernel (waves
-/// of independent blocks, serialized grid-Y respected). Reports
-/// out-of-bounds accesses with the interpreter's diagnostic format.
-Status run_lowered(const ExecutedKernel& ek, const gpusim::DeviceModel& dev,
-                   gpusim::GlobalBuffers& buffers, ExecCache* stats);
+/// One call's operands as member spans, one matrix per batch member: a
+/// single call is a batch of one. `c` is empty for a routine without a
+/// C operand (TRSM).
+struct Members {
+  std::span<const blas3::Matrix> a;
+  std::span<blas3::Matrix> b;
+  std::span<blas3::Matrix> c;
 
-/// Native counterpart of engine::execute_program: compile + lower every
-/// kernel of `program`, run all blocks natively, and read the routine's
-/// output back into `b` (TRSM) or `*c`. Sizes and buffer binding match
-/// the engine exactly, so results are comparable bit-for-bit.
+  static Members one(const blas3::Matrix& a, blas3::Matrix& b,
+                     blas3::Matrix* c) {
+    return {{&a, 1}, {&b, 1}, {c, c != nullptr ? 1u : 0u}};
+  }
+  static Members of(const std::vector<blas3::Matrix>& a,
+                    std::vector<blas3::Matrix>& b,
+                    std::vector<blas3::Matrix>* c) {
+    return {a, b, c != nullptr ? std::span<blas3::Matrix>(*c)
+                               : std::span<blas3::Matrix>()};
+  }
+  size_t count() const { return a.size(); }
+  blas3::Matrix* c_at(size_t i) const {
+    return c.empty() ? nullptr : &c[i];
+  }
+};
+
+/// The operand agreement every execution path requires: at least one
+/// member, as many B (and, when given, C) members as A members, and C
+/// members wherever the routine writes C. invalid_argument otherwise.
+Status check_members(const blas3::Variant& v, const Members& m);
+
+/// Gate (gpusim::compile_launchable), lower and, where the host allows,
+/// JIT every kernel of `program` at `int_params` through `cache`. The
+/// runner's compile step; LibraryRuntime's pre-warm calls it too, so
+/// the kernels it warms are the ones serving looks up.
+StatusOr<std::vector<std::shared_ptr<const ExecutedKernel>>>
+compile_program(const gpusim::DeviceModel& device,
+                const ir::Program& program, const ir::Env& int_params,
+                const std::map<std::string, bool>& bool_params,
+                ExecCache& cache, const ExecOptions& options = {});
+
+/// Execute every block of `ek` for `count` batch members against bound
+/// global buffers, each holding the members back to back — the native
+/// analogue of Simulator::run_functional for one kernel: one wave loop
+/// over count x blocks-per-wave independent blocks, serialized grid-Y
+/// respected. Reports out-of-bounds accesses with the interpreter's
+/// diagnostic format.
+Status run_lowered(const ExecutedKernel& ek, gpusim::GlobalBuffers& buffers,
+                   int64_t count, ExecCache* stats);
+
+/// The program runner: compile every kernel once, stage each global with
+/// member m at offset m * member elements (a batch of one is a plain
+/// make_buffers), run every member's blocks through one wave loop per
+/// kernel — the fused launch the batch_tiled grouping prices — and read
+/// each member's output back into `b` (TRSM) or `c`. Outputs are only
+/// written on success. Members must share one member shape.
+Status execute(const gpusim::DeviceModel& device, const ir::Program& program,
+               const blas3::Variant& variant, const Members& m,
+               const std::map<std::string, bool>& bool_params,
+               ExecCache& cache, const ExecOptions& options = {});
+
+/// execute() on a single call.
 Status execute_program(const gpusim::DeviceModel& device,
                        const ir::Program& program,
                        const blas3::Variant& variant,
@@ -95,13 +146,8 @@ Status execute_program(const gpusim::DeviceModel& device,
                        const std::map<std::string, bool>& bool_params,
                        ExecCache& cache, const ExecOptions& options = {});
 
-/// Fused native batched execution: each kernel is compiled and gated
-/// once, every global gets one strided allocation (member m at offset
-/// m * member_elems), and the whole batch's blocks run through a single
-/// parallel wave — the launch layout the batch_tiled grouping prices.
-/// Semantically equivalent to calling execute_program per member
-/// (engine::execute_batched is the arbitration oracle); operand vectors
-/// carry one matrix per member and must share one member shape.
+/// execute() on a batched call: one matrix per member in each operand
+/// vector; engine::execute_batched is its loop-of-members oracle.
 Status execute_batched(const gpusim::DeviceModel& device,
                        const ir::Program& program,
                        const blas3::Variant& variant,

@@ -37,19 +37,50 @@ Counters lerp(const Counters& a, const Counters& b, double t) {
   return c;
 }
 
-}  // namespace
-
-int64_t Simulator::blocks_per_sm(const CompiledKernel& k) const {
+/// Occupancy: concurrent blocks of `k` per SM of `dev` (0 =
+/// unlaunchable).
+int64_t blocks_per_sm(const DeviceModel& dev, const CompiledKernel& k) {
   const int64_t threads = k.launch.threads_per_block();
   const int64_t regs =
-      (dev_.base_regs_per_thread + k.regs_per_thread) * threads;
-  int64_t occ = dev_.max_blocks_per_sm;
-  if (regs > 0) occ = std::min(occ, dev_.registers_per_sm / regs);
+      (dev.base_regs_per_thread + k.regs_per_thread) * threads;
+  int64_t occ = dev.max_blocks_per_sm;
+  if (regs > 0) occ = std::min(occ, dev.registers_per_sm / regs);
   if (k.shared_bytes > 0) {
-    occ = std::min(occ, dev_.shared_mem_per_sm / k.shared_bytes);
+    occ = std::min(occ, dev.shared_mem_per_sm / k.shared_bytes);
   }
-  occ = std::min<int64_t>(occ, dev_.max_threads_per_sm / threads);
+  occ = std::min<int64_t>(occ, dev.max_threads_per_sm / threads);
   return occ;
+}
+
+}  // namespace
+
+StatusOr<CompiledKernel> compile_launchable(
+    const DeviceModel& dev, const ir::Program& program,
+    const ir::Kernel& kernel, const ir::Env& int_params,
+    const std::map<std::string, bool>& bool_params) {
+  OA_ASSIGN_OR_RETURN(
+      CompiledKernel ck,
+      compile_kernel(program, kernel, int_params, bool_params));
+  const int64_t threads = ck.launch.threads_per_block();
+  if (threads > dev.max_threads_per_block) {
+    return failed_precondition(
+        str_format("%lld threads/block exceeds the device limit",
+                   static_cast<long long>(threads)));
+  }
+  // Register budget: spill register blocks that do not fit.
+  const int64_t reg_budget = std::min<int64_t>(
+      124, dev.registers_per_sm / std::max<int64_t>(1, threads));
+  if (dev.base_regs_per_thread + ck.regs_per_thread > reg_budget) {
+    for (CArray& a : ck.arrays) {
+      if (a.space == ir::MemSpace::kRegister) a.spilled = true;
+    }
+    ck.regs_per_thread = 0;
+  }
+  if (blocks_per_sm(dev, ck) <= 0) {
+    return failed_precondition("kernel '" + kernel.name +
+                               "' does not fit on an SM");
+  }
+  return ck;
 }
 
 double Simulator::wave_time(const Counters& c, int64_t blocks,
@@ -87,28 +118,10 @@ StatusOr<KernelStats> Simulator::run_kernel(const ir::Program& program,
                                             GlobalBuffers* buffers) const {
   OA_ASSIGN_OR_RETURN(
       CompiledKernel ck,
-      compile_kernel(program, kernel, options.int_params,
-                     options.bool_params));
+      compile_launchable(dev_, program, kernel, options.int_params,
+                         options.bool_params));
   const int64_t threads = ck.launch.threads_per_block();
-  if (threads > dev_.max_threads_per_block) {
-    return failed_precondition(
-        str_format("%lld threads/block exceeds the device limit",
-                   static_cast<long long>(threads)));
-  }
-  // Register budget: spill register blocks that do not fit.
-  const int64_t reg_budget = std::min<int64_t>(
-      124, dev_.registers_per_sm / std::max<int64_t>(1, threads));
-  if (dev_.base_regs_per_thread + ck.regs_per_thread > reg_budget) {
-    for (CArray& a : ck.arrays) {
-      if (a.space == ir::MemSpace::kRegister) a.spilled = true;
-    }
-    ck.regs_per_thread = 0;
-  }
-  const int64_t occ = blocks_per_sm(ck);
-  if (occ <= 0) {
-    return failed_precondition("kernel '" + kernel.name +
-                               "' does not fit on an SM");
-  }
+  const int64_t occ = blocks_per_sm(dev_, ck);
 
   KernelStats stats;
   stats.name = kernel.name;
@@ -420,12 +433,15 @@ Status check_read_back_shape(const ir::Program& program,
 
 Status read_back(const GlobalBuffers& buffers, const ir::Program& program,
                  const ir::Env& int_params, const std::string& name,
-                 blas3::Matrix& out) {
+                 blas3::Matrix& out, int64_t member) {
   OA_RETURN_IF_ERROR(
       check_read_back_shape(program, int_params, name, out));
   const ir::ArrayDecl* d = program.find_global(name);
+  const int64_t elems = d->num_elements(int_params);
+  const int64_t base = member * elems;
   auto it = buffers.data.find(name);
-  if (it == buffers.data.end()) {
+  if (it == buffers.data.end() ||
+      it->second.size() < static_cast<size_t>(base + elems)) {
     return not_found("no buffer for '" + name + "'");
   }
   const int64_t rows = d->num_rows(int_params);
@@ -433,7 +449,7 @@ Status read_back(const GlobalBuffers& buffers, const ir::Program& program,
   const int64_t ld = d->leading_dim(int_params);
   for (int64_t c = 0; c < cols; ++c) {
     for (int64_t r = 0; r < rows; ++r) {
-      out.set(r, c, it->second[static_cast<size_t>(r + c * ld)]);
+      out.set(r, c, it->second[static_cast<size_t>(base + r + c * ld)]);
     }
   }
   return Status::ok();

@@ -84,15 +84,23 @@ class Simulator {
                                    bool functional,
                                    GlobalBuffers* buffers) const;
 
-  /// Occupancy: concurrent blocks per SM (0 = unlaunchable).
-  int64_t blocks_per_sm(const CompiledKernel& k) const;
-
   /// Convert wave counters to seconds.
   double wave_time(const Counters& c, int64_t blocks,
                    int64_t warps_per_block, int64_t occupancy) const;
 
   const DeviceModel& dev_;
 };
+
+/// The launch gate every executor shares (the simulator, the native
+/// runner, the serving pre-warm): compile `kernel`, refuse a block above
+/// the device's thread limit, spill register arrays past the register
+/// budget, and refuse a kernel no SM can hold (zero occupancy). The
+/// returned kernel is exactly what runs, so its exec-cache key is the
+/// one serving uses.
+StatusOr<CompiledKernel> compile_launchable(
+    const DeviceModel& dev, const ir::Program& program,
+    const ir::Kernel& kernel, const ir::Env& int_params,
+    const std::map<std::string, bool>& bool_params);
 
 /// Allocate the global buffers a program needs: named inputs copied from
 /// matrices, every other global (GM_map outputs) zero-initialized.
@@ -111,9 +119,10 @@ Status check_read_back_shape(const ir::Program& program,
                              const blas3::Matrix& out);
 
 /// Copy a named buffer back into a Matrix (shape from the program's
-/// array declaration; must match the matrix).
+/// array declaration; must match the matrix). A buffer holding batch
+/// members back to back is read at `member`'s slice.
 Status read_back(const GlobalBuffers& buffers, const ir::Program& program,
                  const ir::Env& int_params, const std::string& name,
-                 blas3::Matrix& out);
+                 blas3::Matrix& out, int64_t member = 0);
 
 }  // namespace oa::gpusim

@@ -260,11 +260,10 @@ const std::shared_ptr<const DispatchSnapshot>& LibraryRuntime::pinned()
 }
 
 LibraryRuntime::Dispatch LibraryRuntime::dispatch_on(
-    const DispatchSnapshot& snap, const Variant& v, int64_t n) const {
+    const DispatchSnapshot& snap, int code, int bucket) const {
   Dispatch d;
   bool exact = false;
-  const DispatchSnapshot::Entry* entry =
-      snap.lookup(variant_code(v), size_bucket(n), &exact);
+  const DispatchSnapshot::Entry* entry = snap.lookup(code, bucket, &exact);
   if (entry == nullptr) return d;
   d.outcome = exact ? DispatchOutcome::kHit : DispatchOutcome::kNearHit;
   d.program = &entry->program;
@@ -276,60 +275,51 @@ LibraryRuntime::Dispatch LibraryRuntime::dispatch_on(
 LibraryRuntime::Dispatch LibraryRuntime::dispatch(const Variant& v,
                                                   int64_t n) const {
   const std::shared_ptr<const DispatchSnapshot>& pin = pinned();
-  Dispatch d = dispatch_on(*pin, v, n);
+  Dispatch d = dispatch_on(*pin, variant_code(v), size_bucket(n));
   d.snapshot = pin;  // the caller's own pin for the pointers handed out
   return d;
 }
 
-void LibraryRuntime::count_request(const Variant& v) const {
-  ins_.requests->add();
-  ins_.requests_by_prec[static_cast<int>(v.precision)]->add();
-  ins_.family_requests[static_cast<int>(v.family)]
-                      [static_cast<int>(v.batch)]
-      ->add();
-}
-
 Status LibraryRuntime::execute_dispatched(
-    const ir::Program& program, const Variant& v, const blas3::Matrix& a,
-    blas3::Matrix& b, blas3::Matrix* c,
+    const ir::Program& program, const Variant& v, const exec::Members& m,
     const std::map<std::string, bool>& bool_params) const {
   if (options_.execution == ExecutionMode::kNative) {
-    Status native = exec::execute_program(sim_.device(), program, v, a, b,
-                                          c, bool_params, exec_cache_);
+    Status native = exec::execute(sim_.device(), program, v, m, bool_params,
+                                  exec_cache_);
     if (native.is_ok()) {
       ins_.native_serves->add();
       return native;
     }
-    // A failed native attempt never touched b/c (outputs are only
-    // written on success), so the interpreter can retry cleanly.
+    // A failed native attempt never touched b/c (outputs are only read
+    // back on success), so the interpreter can retry cleanly.
     ins_.native_fallbacks->add();
     OA_LOG(kWarning) << "LibraryRuntime: native execution of " << v.name()
                      << " failed (" << native.to_string()
                      << "), retrying on the interpreter";
   }
-  return engine::execute_program(sim_, program, v, a, b, c, bool_params);
+  // The interpreter runs a batch as a loop of members.
+  for (size_t i = 0; i < m.count(); ++i) {
+    OA_RETURN_IF_ERROR(engine::execute_program(
+        sim_, program, v, m.a[i], m.b[i], m.c_at(i), bool_params));
+  }
+  return Status::ok();
 }
 
 void LibraryRuntime::prewarm(const DispatchSnapshot& snap) const {
   if (options_.execution != ExecutionMode::kNative) return;
   for (const DispatchSnapshot::Entry& entry : snap.entries()) {
-    const ir::Env int_params =
-        engine::size_env(*entry.variant, entry.tuned_size);
-    for (const ir::Kernel& kernel : entry.program.kernels) {
-      auto ck = gpusim::compile_kernel(entry.program, kernel, int_params,
-                                       entry.bool_params);
-      if (!ck.is_ok()) continue;
-      // Failure is fine: the entry serves through the per-request
-      // interpreter fallback (and the failure is negatively cached).
-      (void)exec_cache_.get_or_compile(*ck);
-    }
+    // Failure is fine: the entry serves through the per-request
+    // interpreter fallback (and the failure is negatively cached).
+    (void)exec::compile_program(
+        sim_.device(), entry.program,
+        engine::size_env(*entry.variant, entry.tuned_size),
+        entry.bool_params, exec_cache_);
   }
 }
 
 StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
     const DispatchSnapshot& snap, const Dispatch& d, const Variant& v,
-    const blas3::Matrix& a, blas3::Matrix& b, blas3::Matrix* c,
-    double start_us, bool pre_executed) const {
+    const exec::Members& m, double start_us, const Status* tuned) const {
   // Whole-call latency lands in the histogram of the *final* outcome,
   // so p99 per path answers "what does a request cost when it ends up
   // here" — including queue wait and the failed attempts before it.
@@ -344,10 +334,10 @@ StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
   uint64_t pending_errors = 0;
 
   if (d.program != nullptr) {
-    Status served =
-        pre_executed ? Status::ok()
-                     : execute_dispatched(*d.program, v, a, b, c,
-                                          *d.bool_params);
+    const Status served =
+        tuned != nullptr ? *tuned
+                         : execute_dispatched(*d.program, v, m,
+                                              *d.bool_params);
     if (served.is_ok()) {
       if (d.outcome == DispatchOutcome::kHit) {
         ins_.hits->add();
@@ -371,9 +361,7 @@ StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
   if (options_.baseline_fallback) {
     const ir::Program* base = snap.baseline(variant_code(v));
     if (base != nullptr) {
-      Status served =
-          execute_dispatched(*base, v, a, b, c, no_bool_params());
-      if (served.is_ok()) {
+      if (execute_dispatched(*base, v, m, no_bool_params()).is_ok()) {
         ins_.baseline_fallbacks->add();
         ins_.recovered_errors->add(pending_errors);
         settle(ins_.baseline_us);
@@ -383,237 +371,130 @@ StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
     }
   }
 
-  if (v.family != blas3::Family::kTrsm && c == nullptr) {
-    ins_.failed_requests->add();
-    settle(ins_.failed_us);
-    return invalid_argument("reference fallback for " + v.name() +
-                            " needs an output matrix c");
-  }
-  if (v.family == blas3::Family::kTrsm) {
-    // TRSM solves in place in b; stage into a copy so a failed kernel
-    // attempt above can't have left partial results behind.
-    blas3::Matrix b_ref = b;
-    blas3::run_reference(v, a, b_ref, c);
-    b = std::move(b_ref);
-  } else {
-    // Every other family only *reads* b (output goes to c), so the
-    // staging copy is pure waste.
-    blas3::run_reference(v, a, b, c);
+  for (size_t i = 0; i < m.count(); ++i) {
+    if (v.family == blas3::Family::kTrsm) {
+      // TRSM solves in place in b; stage into a copy so a failed kernel
+      // attempt above can't have left partial results behind.
+      blas3::Matrix b_ref = m.b[i];
+      blas3::run_reference(v, m.a[i], b_ref, m.c_at(i));
+      m.b[i] = std::move(b_ref);
+    } else {
+      // Every other family only *reads* b (output goes to c), so the
+      // staging copy is pure waste.
+      blas3::run_reference(v, m.a[i], m.b[i], m.c_at(i));
+    }
   }
   ins_.reference_fallbacks->add();
   ins_.recovered_errors->add(pending_errors);
   settle(ins_.reference_us);
   return DispatchOutcome::kFallbackReference;
+}
+
+StatusOr<DispatchOutcome> LibraryRuntime::serve_call(
+    const Variant& v, const exec::Members& m, bool batched,
+    bool admit) const {
+  const double start_us = obs::now_us();
+  ins_.requests->add();
+  ins_.requests_by_prec[static_cast<int>(v.precision)]->add();
+  ins_.family_requests[static_cast<int>(v.family)]
+                      [static_cast<int>(v.batch)]
+      ->add();
+  if (batched) {
+    ins_.batched_requests->add();
+    ins_.batched_members->add(static_cast<uint64_t>(m.count()));
+  }
+
+  Status valid = batched && v.batch == blas3::Batch::kSingle
+                     ? invalid_argument("run_batched needs a batched "
+                                        "variant; " + v.name() +
+                                        " is single")
+                     : exec::check_members(v, m);
+  // Requests must hand in matrices of the variant's element type: an
+  // f64 routine silently fed f32-tagged storage (or vice versa) would
+  // compute at the wrong precision, so it is an error, not a fallback.
+  for (size_t i = 0; valid.is_ok() && i < m.count(); ++i) {
+    const blas3::Matrix* c = m.c_at(i);
+    if (m.a[i].precision() != v.precision ||
+        m.b[i].precision() != v.precision ||
+        (c != nullptr && c->precision() != v.precision)) {
+      valid = invalid_argument(str_format("%s expects %s matrices",
+                                          v.name().c_str(),
+                                          precision_name(v.precision)));
+    }
+  }
+  if (!valid.is_ok()) {
+    ins_.failed_requests->add();
+    ins_.failed_us->record(obs::now_us() - start_us);
+    return valid;
+  }
+
+  if (admit) {
+    // Admission control: the depth the candidate sees excludes itself.
+    // A batched call is one unit of admission (the batch is what the
+    // caller retries).
+    if (!admission_->admit(in_flight_.load(std::memory_order_relaxed))) {
+      ins_.shed->add();
+      ins_.shed_us->record(obs::now_us() - start_us);
+      return DispatchOutcome::kShed;
+    }
+    in_flight_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // A batch dispatches on its member size under the batched variant's
+  // own code, so tuned batched entries never collide with single ones.
+  const int code = variant_code(v);
+  const int bucket =
+      size_bucket(dispatch_size(v, m.a[0], m.b[0], m.c_at(0)));
+  StatusOr<DispatchOutcome> outcome = [&]() -> StatusOr<DispatchOutcome> {
+    if (admit && !batched && options_.coalesce) {
+      // Key axes: variant code | batch-count bucket | size bucket.
+      // Coalesced calls are single members (batch count 1 → bucket 0);
+      // a batched call never enters the queue — it already is a batch.
+      const uint64_t key = (static_cast<uint64_t>(code) << 12) |
+                           (static_cast<uint64_t>(batch_bucket(1)) << 6) |
+                           static_cast<uint64_t>(bucket);
+      return queue_->submit(key, v, m.a[0], m.b[0], m.c_at(0));
+    }
+    // One snapshot pin for the whole request: dispatch, execution and
+    // fallbacks all resolve against the same immutable table, however
+    // many hot reloads land meanwhile.
+    const DispatchSnapshot& snap = *pinned();
+    return serve_with(snap, dispatch_on(snap, code, bucket), v, m,
+                      start_us);
+  }();
+
+  if (admit) in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  return outcome;
 }
 
 StatusOr<DispatchOutcome> LibraryRuntime::run(const Variant& v,
                                               const blas3::Matrix& a,
                                               blas3::Matrix& b,
                                               blas3::Matrix* c) const {
-  const double start_us = obs::now_us();
-  count_request(v);
-
-  // Requests must hand in matrices of the variant's element type: an
-  // f64 routine silently fed f32-tagged storage (or vice versa) would
-  // compute at the wrong precision, so it is an error, not a fallback.
-  if (a.precision() != v.precision || b.precision() != v.precision ||
-      (c != nullptr && c->precision() != v.precision)) {
-    ins_.failed_requests->add();
-    ins_.failed_us->record(obs::now_us() - start_us);
-    return invalid_argument(
-        str_format("%s expects %s matrices", v.name().c_str(),
-                   precision_name(v.precision)));
-  }
-
-  // One snapshot pin for the whole request: dispatch, execution and
-  // fallbacks all resolve against the same immutable table, however
-  // many hot reloads land meanwhile. The thread-local pin stays put
-  // for the whole serve (this thread only refreshes it on its next
-  // request).
-  const DispatchSnapshot& snap = *pinned();
-  Dispatch d = dispatch_on(snap, v, dispatch_size(v, a, b, c));
-  return serve_with(snap, d, v, a, b, c, start_us);
+  return serve_call(v, exec::Members::one(a, b, c), /*batched=*/false,
+                    /*admit=*/false);
 }
 
 StatusOr<DispatchOutcome> LibraryRuntime::serve(const Variant& v,
                                                 const blas3::Matrix& a,
                                                 blas3::Matrix& b,
                                                 blas3::Matrix* c) const {
-  const double start_us = obs::now_us();
-  count_request(v);
-
-  if (a.precision() != v.precision || b.precision() != v.precision ||
-      (c != nullptr && c->precision() != v.precision)) {
-    ins_.failed_requests->add();
-    ins_.failed_us->record(obs::now_us() - start_us);
-    return invalid_argument(
-        str_format("%s expects %s matrices", v.name().c_str(),
-                   precision_name(v.precision)));
-  }
-
-  // Admission control: the depth the candidate sees excludes itself.
-  const size_t depth = in_flight_.load(std::memory_order_relaxed);
-  if (!admission_->admit(depth)) {
-    ins_.shed->add();
-    ins_.shed_us->record(obs::now_us() - start_us);
-    return DispatchOutcome::kShed;
-  }
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-
-  StatusOr<DispatchOutcome> outcome = [&]() -> StatusOr<DispatchOutcome> {
-    if (options_.coalesce) {
-      const int64_t n = dispatch_size(v, a, b, c);
-      // Key axes: variant code | batch-count bucket | size bucket. The
-      // serve() path carries single-member calls (batch count 1 →
-      // bucket 0); the batch axis keeps the key scheme shared with
-      // batched traffic accounting.
-      const uint64_t key =
-          (static_cast<uint64_t>(variant_code(v)) << 12) |
-          (static_cast<uint64_t>(batch_bucket(1)) << 6) |
-          static_cast<uint64_t>(size_bucket(n));
-      return queue_->submit(key, v, a, b, c);
-    }
-    const DispatchSnapshot& snap = *pinned();
-    Dispatch d = dispatch_on(snap, v, dispatch_size(v, a, b, c));
-    return serve_with(snap, d, v, a, b, c, start_us);
-  }();
-
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  return outcome;
-}
-
-Status LibraryRuntime::execute_batched_dispatched(
-    const ir::Program& program, const Variant& v,
-    const std::vector<blas3::Matrix>& a, std::vector<blas3::Matrix>& b,
-    std::vector<blas3::Matrix>* c,
-    const std::map<std::string, bool>& bool_params) const {
-  if (options_.execution == ExecutionMode::kNative) {
-    Status native = exec::execute_batched(sim_.device(), program, v, a, b,
-                                          c, bool_params, exec_cache_);
-    if (native.is_ok()) {
-      ins_.native_serves->add();
-      return native;
-    }
-    // Failed native members may have written into the strided staging
-    // buffers but never into b/c (read-back happens only on success),
-    // so the interpreter loop retries cleanly.
-    ins_.native_fallbacks->add();
-    OA_LOG(kWarning) << "LibraryRuntime: native batched execution of "
-                     << v.name() << " failed (" << native.to_string()
-                     << "), retrying on the interpreter";
-  }
-  return engine::execute_batched(sim_, program, v, a, b, c, bool_params);
+  return serve_call(v, exec::Members::one(a, b, c), /*batched=*/false,
+                    /*admit=*/true);
 }
 
 StatusOr<DispatchOutcome> LibraryRuntime::run_batched(
     const Variant& v, const std::vector<blas3::Matrix>& a,
     std::vector<blas3::Matrix>& b, std::vector<blas3::Matrix>* c) const {
-  const double start_us = obs::now_us();
-  count_request(v);
-  ins_.batched_requests->add();
-  ins_.batched_members->add(static_cast<uint64_t>(a.size()));
-
-  auto fail = [&](Status status) -> StatusOr<DispatchOutcome> {
-    ins_.failed_requests->add();
-    ins_.failed_us->record(obs::now_us() - start_us);
-    return status;
-  };
-  if (v.batch == blas3::Batch::kSingle) {
-    return fail(invalid_argument("run_batched needs a batched variant; " +
-                                 v.name() + " is single"));
-  }
-  if (a.empty() || a.size() != b.size() ||
-      (c != nullptr && c->size() != a.size())) {
-    return fail(
-        invalid_argument("batched operands disagree on batch count"));
-  }
-  if (c == nullptr) {
-    return fail(invalid_argument("batched " + v.name() +
-                                 " needs output matrices c"));
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].precision() != v.precision ||
-        b[i].precision() != v.precision ||
-        (*c)[i].precision() != v.precision) {
-      return fail(invalid_argument(
-          str_format("%s expects %s matrices", v.name().c_str(),
-                     precision_name(v.precision))));
-    }
-  }
-
-  auto settle = [&](obs::Histogram* h) {
-    const double us = obs::now_us() - start_us;
-    h->record(us);
-    ins_.serve_us->record(us);
-    admission_->on_complete();
-  };
-  uint64_t pending_errors = 0;
-
-  // One pin, one member-size dispatch for the whole batch; the batched
-  // variant has its own code, so tuned batched entries never collide
-  // with single-GEMM ones.
-  const DispatchSnapshot& snap = *pinned();
-  Dispatch d = dispatch_on(snap, v, dispatch_size(v, a[0], b[0], &(*c)[0]));
-
-  if (d.program != nullptr) {
-    Status served =
-        execute_batched_dispatched(*d.program, v, a, b, c, *d.bool_params);
-    if (served.is_ok()) {
-      if (d.outcome == DispatchOutcome::kHit) {
-        ins_.hits->add();
-        settle(ins_.hit_us);
-      } else {
-        ins_.near_hits->add();
-        settle(ins_.near_hit_us);
-      }
-      ins_.tuned_served_by_prec[static_cast<int>(v.precision)]->add();
-      return d.outcome;
-    }
-    ++pending_errors;
-    OA_LOG(kWarning) << "LibraryRuntime: tuned batched " << v.name()
-                     << " failed (" << served.to_string()
-                     << "), falling back";
-  }
-
-  if (options_.baseline_fallback) {
-    const ir::Program* base = snap.baseline(variant_code(v));
-    if (base != nullptr) {
-      Status served =
-          execute_batched_dispatched(*base, v, a, b, c, no_bool_params());
-      if (served.is_ok()) {
-        ins_.baseline_fallbacks->add();
-        ins_.recovered_errors->add(pending_errors);
-        settle(ins_.baseline_us);
-        return DispatchOutcome::kFallbackBaseline;
-      }
-      ++pending_errors;
-    }
-  }
-
-  for (size_t i = 0; i < a.size(); ++i) {
-    blas3::run_reference(v, a[i], b[i], &(*c)[i]);
-  }
-  ins_.reference_fallbacks->add();
-  ins_.recovered_errors->add(pending_errors);
-  settle(ins_.reference_us);
-  return DispatchOutcome::kFallbackReference;
+  return serve_call(v, exec::Members::of(a, b, c), /*batched=*/true,
+                    /*admit=*/false);
 }
 
 StatusOr<DispatchOutcome> LibraryRuntime::serve_batched(
     const Variant& v, const std::vector<blas3::Matrix>& a,
     std::vector<blas3::Matrix>& b, std::vector<blas3::Matrix>* c) const {
-  // Admission sees one request per batched call (the batch is the unit
-  // of work the caller retries); no coalescing — it is already a batch.
-  const size_t depth = in_flight_.load(std::memory_order_relaxed);
-  if (!admission_->admit(depth)) {
-    ins_.shed->add();
-    ins_.shed_us->record(0.0);
-    return DispatchOutcome::kShed;
-  }
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  StatusOr<DispatchOutcome> outcome = run_batched(v, a, b, c);
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  return outcome;
+  return serve_call(v, exec::Members::of(a, b, c), /*batched=*/true,
+                    /*admit=*/true);
 }
 
 void LibraryRuntime::serve_batch(
@@ -627,51 +508,33 @@ void LibraryRuntime::serve_batch(
   // request shares the (variant code, size bucket) of `key`, so the
   // same table cell serves them all.
   const DispatchSnapshot& snap = *pinned();
-  Dispatch d;
-  bool exact = false;
-  const int code = static_cast<int>(key >> 12);
-  const int bucket = static_cast<int>(key & 63);
-  const DispatchSnapshot::Entry* entry = snap.lookup(code, bucket, &exact);
-  if (entry != nullptr) {
-    d.outcome = exact ? DispatchOutcome::kHit : DispatchOutcome::kNearHit;
-    d.program = &entry->program;
-    d.bool_params = &entry->bool_params;
-    d.tuned_gflops = entry->gflops;
-  }
+  const Dispatch d = dispatch_on(snap, static_cast<int>(key >> 12),
+                                 static_cast<int>(key & 63));
   const double serve_start = obs::now_us();
+  auto members = [](const BatchQueue::Request& r) {
+    return exec::Members::one(*r.a, *r.b, r.c);
+  };
 
-  // ExecutionMode::kNative: the leader pushes every member of the
-  // batch through one executor invocation loop — the shared dispatch
-  // means one cached ExecutedKernel serves all members, so the loop is
-  // pure execution (zero per-member compiles) and its total time is
-  // the batch's amortizable cost ("runtime.batch_exec_us").
-  std::vector<bool> pre_executed(batch.size(), false);
-  if (options_.execution == ExecutionMode::kNative &&
-      d.program != nullptr) {
-    const double exec_start = obs::now_us();
+  // The leader runs every member's tuned kernel back to back first —
+  // one cached kernel serves them all, so the loop is pure execution
+  // and its total time is the batch's amortizable cost
+  // ("runtime.batch_exec_us") — then settles each member through the
+  // shared tail, which walks the fallback chain for any that failed.
+  std::vector<Status> tuned(batch.size());
+  if (d.program != nullptr) {
     for (size_t i = 0; i < batch.size(); ++i) {
-      BatchQueue::Request* req = batch[i];
-      Status native =
-          exec::execute_program(sim_.device(), *d.program, *req->v,
-                                *req->a, *req->b, req->c, *d.bool_params,
-                                exec_cache_);
-      if (native.is_ok()) {
-        ins_.native_serves->add();
-        pre_executed[i] = true;
-      } else {
-        // This member retries on the interpreter in serve_with below;
-        // its outputs are untouched (native writes only on success).
-        ins_.native_fallbacks->add();
-      }
+      tuned[i] = execute_dispatched(*d.program, *batch[i]->v,
+                                    members(*batch[i]), *d.bool_params);
     }
-    ins_.batch_exec_us->record(obs::now_us() - exec_start);
+    ins_.batch_exec_us->record(obs::now_us() - serve_start);
   }
 
   for (size_t i = 0; i < batch.size(); ++i) {
     BatchQueue::Request* req = batch[i];
     ins_.queue_wait_us->record(serve_start - req->submit_us);
-    req->result = serve_with(snap, d, *req->v, *req->a, *req->b, req->c,
-                             req->submit_us, pre_executed[i]);
+    req->result = serve_with(snap, d, *req->v, members(*req),
+                             req->submit_us,
+                             d.program != nullptr ? &tuned[i] : nullptr);
   }
 }
 

@@ -239,8 +239,11 @@ class LibraryRuntime {
   /// Serve one BLAS3 call directly: run the dispatched kernel
   /// functionally on the simulated device (matrix conventions as
   /// OaFramework::run), falling back to baseline / CPU reference on a
-  /// miss or execution failure. Thread-safe; returns how the request
-  /// was ultimately served. Never coalesces, never sheds.
+  /// miss or execution failure. A null `c` for a routine that writes C
+  /// is invalid_argument. Thread-safe; returns how the request was
+  /// ultimately served. Never coalesces, never sheds. The four serving
+  /// entries (run, serve, run_batched, serve_batched) are one path: a
+  /// single call is a batch of one.
   StatusOr<DispatchOutcome> run(const blas3::Variant& v,
                                 const blas3::Matrix& a, blas3::Matrix& b,
                                 blas3::Matrix* c) const;
@@ -257,10 +260,8 @@ class LibraryRuntime {
   /// Serve one *batched* BLAS3 call directly (v.batch != kSingle):
   /// operand vectors carry one matrix per batch member and must agree
   /// on the batch count. Dispatch resolves on the member size under
-  /// the batched variant's own code; execution is native-first under
-  /// ExecutionMode::kNative (the fused exec::execute_batched), then
-  /// the interpreter loop-of-members, then the CPU reference loop.
-  /// Thread-safe; never coalesces, never sheds.
+  /// the batched variant's own code; execution and fallbacks are run()'s
+  /// over every member. Thread-safe; never coalesces, never sheds.
   StatusOr<DispatchOutcome> run_batched(const blas3::Variant& v,
                                         const std::vector<blas3::Matrix>& a,
                                         std::vector<blas3::Matrix>& b,
@@ -303,45 +304,53 @@ class LibraryRuntime {
   /// thread makes after a hot reload (or against a new runtime) takes
   /// the slow path. The returned reference is stable until this thread
   /// calls pinned() again — callers must finish one request per call,
-  /// which run()/serve()/serve_batch() do.
+  /// which serve_call() and serve_batch() do.
   const std::shared_ptr<const DispatchSnapshot>& pinned() const;
 
-  /// Lookup against a pinned snapshot (no refcount traffic).
-  Dispatch dispatch_on(const DispatchSnapshot& snap,
-                       const blas3::Variant& v, int64_t n) const;
+  /// Lookup of (variant code, size bucket) against a pinned snapshot
+  /// (no refcount traffic).
+  Dispatch dispatch_on(const DispatchSnapshot& snap, int code,
+                       int bucket) const;
 
-  /// The serving tail shared by run(), serve() and batch leaders:
-  /// execute the dispatched kernel, walk the fallback chain, settle
-  /// counters and the latency histogram of the final outcome.
-  /// `start_us` is when the request entered the runtime (queue wait
-  /// counts toward its latency). `pre_executed` marks a request whose
-  /// tuned kernel a batch leader already ran natively (serve_batch's
-  /// single executor loop): the tuned stage only settles counters.
+  /// The one entry every public serving call goes through (a single
+  /// call is a batch of one). Counts the request (raw, per-precision,
+  /// per-family and, for `batched` calls, batched counters), then
+  /// rejects a single variant on a batched entry, operands that
+  /// disagree on the batch count or lack the output matrix, and
+  /// wrong-precision matrices as invalid_argument, counted in
+  /// failed_requests. With `admit` (serve*), admission control runs next
+  /// (kShed) and the call holds an in_flight_ slot while it is served;
+  /// single calls then go through the coalescing queue when it is on.
+  /// Everything else dispatches on the member size and goes to
+  /// serve_with.
+  StatusOr<DispatchOutcome> serve_call(const blas3::Variant& v,
+                                       const exec::Members& m, bool batched,
+                                       bool admit) const;
+
+  /// The serving tail shared by every entry and by batch leaders: run
+  /// the dispatched kernel over the call's members, walk the fallback
+  /// chain (tuned → baseline → CPU reference), settle counters and the
+  /// latency histogram of the final outcome. `start_us` is when the
+  /// request entered the runtime (queue wait counts toward its
+  /// latency). `tuned`, when given, is the status of a tuned-kernel run
+  /// a batch leader already made for this request (serve_batch): the
+  /// tuned stage then only settles it.
   StatusOr<DispatchOutcome> serve_with(const DispatchSnapshot& snap,
                                        const Dispatch& d,
                                        const blas3::Variant& v,
-                                       const blas3::Matrix& a,
-                                       blas3::Matrix& b, blas3::Matrix* c,
+                                       const exec::Members& m,
                                        double start_us,
-                                       bool pre_executed = false) const;
+                                       const Status* tuned = nullptr) const;
 
-  /// Native-first execution of a dispatched program under
-  /// ExecutionMode::kNative (counts native_serves / native_fallbacks),
-  /// plain interpreter execution otherwise.
+  /// Native-first execution of a dispatched program over the call's
+  /// members: under ExecutionMode::kNative the exec runner first
+  /// (counting native_serves / native_fallbacks), then — or, under
+  /// kInterpreter, straight away — the interpreter, one member at a
+  /// time.
   Status execute_dispatched(const ir::Program& program,
-                            const blas3::Variant& v, const blas3::Matrix& a,
-                            blas3::Matrix& b, blas3::Matrix* c,
+                            const blas3::Variant& v, const exec::Members& m,
                             const std::map<std::string, bool>& bool_params)
       const;
-
-  /// Batched counterpart of execute_dispatched: fused native path
-  /// first under kNative, interpreter loop-of-members otherwise or on
-  /// native failure.
-  Status execute_batched_dispatched(
-      const ir::Program& program, const blas3::Variant& v,
-      const std::vector<blas3::Matrix>& a, std::vector<blas3::Matrix>& b,
-      std::vector<blas3::Matrix>* c,
-      const std::map<std::string, bool>& bool_params) const;
 
   /// ExecutionMode::kNative: compile + JIT every kernel of every
   /// snapshot entry into the exec cache so the first request after a
@@ -352,9 +361,6 @@ class LibraryRuntime {
   /// dispatch lookup.
   void serve_batch(uint64_t key,
                    const std::vector<BatchQueue::Request*>& batch) const;
-
-  /// Counter/histogram bookkeeping shared by every entry point.
-  void count_request(const blas3::Variant& v) const;
 
   gpusim::Simulator sim_;
   RuntimeOptions options_;
@@ -401,7 +407,7 @@ class LibraryRuntime {
     obs::Histogram* reload_us;      // snapshot build + publish time
     obs::Histogram* batch_size;
     obs::Histogram* queue_wait_us;  // submit -> batch-serve delay
-    obs::Histogram* batch_exec_us;  // leader's native batch-execution loop
+    obs::Histogram* batch_exec_us;  // leader's tuned-kernel loop
   };
   Instruments ins_;
 

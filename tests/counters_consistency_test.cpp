@@ -21,6 +21,11 @@ struct CaseSpec {
   std::string name;
 };
 
+// Without this gtest prints CaseSpec as raw bytes, starting with the
+// address of `variant`, and gtest_discover_tests puts that text into the
+// ctest name — which then changes from run to run under ASLR.
+void PrintTo(const CaseSpec& spec, std::ostream* os) { *os << spec.variant; }
+
 std::vector<CaseSpec> cases() {
   static const char* kGemmScript = R"(
     (Lii, Ljj) = thread_grouping(Li, Lj);

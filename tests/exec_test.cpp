@@ -135,6 +135,17 @@ TEST_P(ExecAllVariants, MatchesReferenceAllSchedules) {
     ASSERT_TRUE(s.is_ok()) << label << ": " << s.to_string();
     const double err = blas3::max_abs_diff(out, prob.expected);
     EXPECT_LE(err, tol) << label << ": native err " << err;
+
+    // A single call is a batch of one: the batched entry on a
+    // one-member batch computes the same bits.
+    const std::vector<blas3::Matrix> a1 = {prob.a};
+    std::vector<blas3::Matrix> b1 = {prob.b}, c1 = {prob.c};
+    s = execute_batched(gpusim::gtx285(), p, v, a1, b1, &c1, {}, cache);
+    ASSERT_TRUE(s.is_ok()) << label << " (batch of one): " << s.to_string();
+    const blas3::Matrix& one =
+        v.family == blas3::Family::kTrsm ? b1[0] : c1[0];
+    EXPECT_EQ(blas3::max_abs_diff(one, out), 0.0)
+        << label << ": batch of one differs from the single call";
   }
   // On x86-64 hosts every kernel must have gone through the JIT.
   if (jit_supported()) {
@@ -246,6 +257,35 @@ TEST(ExecFallbackTest, ForcedPortableStillComputes) {
   EXPECT_GT(st.portable_kernels, 0);
 }
 
+TEST(ExecFallbackTest, NullOutputIsInvalidArgument) {
+  // A routine that writes C refuses a missing C up front instead of
+  // dereferencing it — on every executor entry.
+  const blas3::Variant* v = blas3::find_variant("GEMM-NN");
+  ASSERT_NE(v, nullptr);
+  const Problem prob(*v, 32);
+  const ir::Program p = tuned_program(*v);
+  ExecCache cache;
+  blas3::Matrix b = prob.b;
+  EXPECT_EQ(execute_program(gpusim::gtx285(), p, *v, prob.a, b, nullptr, {},
+                            cache)
+                .code(),
+            ErrorCode::kInvalidArgument);
+  gpusim::Simulator sim(gpusim::gtx285());
+  EXPECT_EQ(
+      engine::execute_program(sim, p, *v, prob.a, b, nullptr, {}).code(),
+      ErrorCode::kInvalidArgument);
+
+  const blas3::Variant* bv = blas3::find_variant("GEMM_BATCHED-NN");
+  ASSERT_NE(bv, nullptr);
+  const std::vector<blas3::Matrix> a2 = {prob.a, prob.a};
+  std::vector<blas3::Matrix> b2 = {prob.b, prob.b};
+  EXPECT_EQ(execute_batched(gpusim::gtx285(), tuned_program(*bv), *bv, a2,
+                            b2, nullptr, {}, cache)
+                .code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(cache.stats().compiles, 0) << "compiled before rejecting";
+}
+
 TEST(ExecFallbackTest, CodeBufferRejectsEmptyInput) {
   auto buf = CodeBuffer::make({});
   EXPECT_FALSE(buf.is_ok());
@@ -294,7 +334,7 @@ TEST(ExecFallbackTest, OutOfBoundsMatchesInterpreterDiagnostic) {
     ASSERT_TRUE(ek.is_ok()) << ek.status().to_string();
     gpusim::GlobalBuffers buffers;
     buffers.data["A"] = std::vector<double>(16, 0.0);
-    Status s = run_lowered(**ek, gpusim::gtx285(), buffers, nullptr);
+    Status s = run_lowered(**ek, buffers, /*count=*/1, nullptr);
     ASSERT_FALSE(s.is_ok()) << (force_portable ? "portable" : "jit");
     EXPECT_NE(s.message().find(
                   "out-of-bounds access to A: (10, 0) not in 4x4"),

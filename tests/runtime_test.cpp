@@ -216,6 +216,36 @@ TEST(LibraryRuntime, FailedRequestIsNotReportedAsRecovered) {
       rt.metrics().histogram("runtime.dispatch_us.failed").count(), 1u);
 }
 
+TEST(LibraryRuntime, NullOutputIsRejectedOnEveryEntry) {
+  // A tuned hit with c == nullptr used to run the kernel before anyone
+  // looked at c. Every entry now refuses it up front, in both execution
+  // modes, and counts it as a failed request.
+  const Variant& gemm = *blas3::find_variant("GEMM-NN");
+  for (const auto mode : {runtime::ExecutionMode::kInterpreter,
+                          runtime::ExecutionMode::kNative}) {
+    runtime::RuntimeOptions options;
+    options.execution = mode;
+    LibraryRuntime rt(gpusim::gtx285(), gemm_artifact(), options);
+    ASSERT_EQ(rt.dispatch(gemm, 256).outcome, DispatchOutcome::kHit);
+    blas3::Matrix a, b, c;
+    make_inputs(gemm, 7, 256, a, b, c);
+    const auto ran = rt.run(gemm, a, b, nullptr);
+    ASSERT_FALSE(ran.is_ok());
+    EXPECT_EQ(ran.status().code(), ErrorCode::kInvalidArgument);
+    const auto served = rt.serve(gemm, a, b, nullptr);
+    ASSERT_FALSE(served.is_ok());
+    EXPECT_EQ(served.status().code(), ErrorCode::kInvalidArgument);
+
+    const runtime::DispatchStats stats = rt.stats();
+    EXPECT_EQ(stats.requests, 2u);
+    EXPECT_EQ(stats.failed_requests, 2u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.native_serves + stats.native_fallbacks, 0u);
+    EXPECT_EQ(rt.metrics().counter_value("runtime.requests"),
+              stats.requests);
+  }
+}
+
 TEST(LibraryRuntime, MissFallsBackToTheBaselineCorrectly) {
   LibraryRuntime rt(gpusim::gtx285(), gemm_artifact());
   // Routines the artifact does not cover.

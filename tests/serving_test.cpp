@@ -11,6 +11,7 @@
 #include "libgen/artifact.hpp"
 #include "oa/oa.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "runtime/batch_queue.hpp"
 #include "runtime/library_runtime.hpp"
 #include "support/rng.hpp"
@@ -338,6 +339,58 @@ TEST(Serve, ShedsDeterministicallyWhenQueueIsFull) {
   EXPECT_EQ(rt.metrics().counter_value("runtime.shed"), 1u);
   EXPECT_EQ(
       rt.metrics().histogram("runtime.dispatch_us.shed").count(), 1u);
+}
+
+TEST(Serve, ShedBatchedCallIsCountedLikeAnyRequest) {
+  // Same lingering-leader setup, but the shed call is serve_batched: it
+  // must reach the raw request, per-precision, per-family and batched
+  // counters exactly like a shed serve(), so the raw entry counter
+  // equals the derived total once nothing is in flight.
+  runtime::RuntimeOptions ropt;
+  ropt.coalesce = true;
+  ropt.max_batch = 8;
+  ropt.batch_window_us = 300000.0;
+  ropt.max_queue_depth = 1;
+  LibraryRuntime rt(gpusim::gtx285(), gemm_artifact(), ropt);
+  const Variant& gemm = *blas3::find_variant("GEMM-NN");
+  const Variant& batched = *blas3::find_variant("GEMM_BATCHED-NN");
+
+  std::thread leader([&] {
+    blas3::Matrix a, b, c;
+    make_inputs(256, 0x1EAD, a, b, c);
+    (void)rt.serve(gemm, a, b, &c);
+  });
+  while (rt.metrics().counter_value("runtime.requests") == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  std::vector<blas3::Matrix> a(2), b(2), c(2);
+  for (size_t i = 0; i < a.size(); ++i) {
+    make_inputs(16, 0xBA7 + i, a[i], b[i], c[i]);
+  }
+  const double shed_start = obs::now_us();
+  auto shed = rt.serve_batched(batched, a, b, &c);
+  const double shed_us = obs::now_us() - shed_start;
+  ASSERT_TRUE(shed.is_ok()) << shed.status().to_string();
+  EXPECT_EQ(*shed, DispatchOutcome::kShed);
+  leader.join();
+
+  const runtime::DispatchStats stats = rt.stats();
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(rt.metrics().counter_value("runtime.requests"), stats.requests);
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.requests_f32, 2u);
+  EXPECT_EQ(stats.batched_requests, 1u);
+  EXPECT_EQ(stats.batched_members, 2u);
+  ASSERT_EQ(stats.requests_by_family.count("GEMM_BATCHED"), 1u);
+  EXPECT_EQ(stats.requests_by_family.at("GEMM_BATCHED"), 1u);
+  // The shed latency is the call's elapsed time, as for serve().
+  const obs::Histogram& h =
+      rt.metrics().histogram("runtime.dispatch_us.shed");
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_GT(h.sum(), 0.0);
+  EXPECT_LE(h.sum(), shed_us);
 }
 
 // --- native execution mode ------------------------------------------
